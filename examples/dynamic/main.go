@@ -51,7 +51,7 @@ func main() {
 	var firstAlarm, falseAlarms float64 = -1, 0
 	decisions := 0
 	srv.RunUntil(600, func(step memdos.ServerStep) {
-		sample, ok := step.Samples[victim.ID()]
+		sample, ok := step.Sample(victim.ID())
 		if !ok {
 			return
 		}

@@ -57,7 +57,7 @@ func main() {
 	var firstAlarm float64 = -1
 	lastReport := 0.0
 	srv.RunUntil(360, func(step memdos.ServerStep) {
-		sample, ok := step.Samples[victim.ID()]
+		sample, ok := step.Sample(victim.ID())
 		if !ok {
 			return
 		}

@@ -55,7 +55,7 @@ func main() {
 	}
 	var firstAlarm float64 = -1
 	srv.RunUntil(300, func(step memdos.ServerStep) {
-		sample, ok := step.Samples[victim.ID()]
+		sample, ok := step.Sample(victim.ID())
 		if !ok {
 			return
 		}

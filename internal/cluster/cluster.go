@@ -192,7 +192,7 @@ func (h *host) run(q int) {
 			if w.det == nil {
 				continue
 			}
-			smp, ok := res.Samples[w.vm.ID()]
+			smp, ok := res.Sample(w.vm.ID())
 			if !ok {
 				continue
 			}

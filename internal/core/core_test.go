@@ -47,7 +47,7 @@ func runDetector(t *testing.T, app string, atk *attack.Attacker, dur float64, de
 	}
 	var decisions []Decision
 	srv.RunUntil(dur, func(res vmm.StepResult) {
-		if s, ok := res.Samples[victim.ID()]; ok {
+		if s, ok := res.Sample(victim.ID()); ok {
 			decisions = append(decisions, det.Push(s)...)
 		}
 	})
@@ -458,7 +458,7 @@ func TestKSTestEndToEndDetectsAttack(t *testing.T) {
 	})
 	var ds []Decision
 	srv.RunUntil(300, func(res vmm.StepResult) {
-		if s, ok := res.Samples[victim.ID()]; ok {
+		if s, ok := res.Sample(victim.ID()); ok {
 			ds = append(ds, det.Push(s)...)
 		}
 	})
@@ -497,7 +497,7 @@ func TestDetectionDelayOrdering(t *testing.T) {
 		}
 		var ds []Decision
 		srv.RunUntil(start+200, func(res vmm.StepResult) {
-			if s, ok := res.Samples[victim.ID()]; ok {
+			if s, ok := res.Sample(victim.ID()); ok {
 				ds = append(ds, det.Push(s)...)
 			}
 		})

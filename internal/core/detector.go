@@ -17,12 +17,28 @@ type Detector interface {
 	// "DNN").
 	Name() string
 	// Push feeds one PCM sample and returns any decisions produced.
+	// The returned slice may alias a buffer the detector reuses: it is
+	// valid until the next Push on the same detector, so callers that
+	// keep decisions must copy them out (append(dst, d.Push(s)...)).
+	// Every detector in this package emits at most one decision per
+	// sample and returns it without allocating.
 	Push(s pcm.Sample) []Decision
 	// Overhead returns the hypervisor CPU fraction the scheme's
 	// processing consumes (the paper's Fig. 14 cost model); execution
 	// throttling costs are modelled physically by the hypervisor, not
 	// here.
 	Overhead() float64
+}
+
+// decisionBuf is the one-element buffer a detector returns its decision
+// in, so Push does not allocate (see Detector.Push for the aliasing
+// contract).
+type decisionBuf [1]Decision
+
+// emit stores the decision and returns it as a one-element slice.
+func (b *decisionBuf) emit(t float64, alarm bool) []Decision {
+	b[0] = Decision{Time: t, Alarm: alarm}
+	return b[:]
 }
 
 // violationCounter tracks consecutive anomaly observations against a

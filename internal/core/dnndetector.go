@@ -19,12 +19,19 @@ type DNNDetector struct {
 	cascade *dnn.Cascade
 	params  Params
 
-	buf       [][]float64
+	// win is the latest (up to W) samples as [access, miss] rows, a view
+	// into rows. rows is a fixed 2W set of rows over the one backing
+	// array flat; when win reaches the end of rows its values are copied
+	// to the front, so Push never allocates.
+	win       [][]float64
+	rows      [][]float64
+	flat      []float64
 	sinceEval int
 	viol      violationCounter
 
 	lastApp    int
 	lastAttack int
+	out        decisionBuf
 }
 
 // NewDNNDetector returns a detector around a trained cascade.
@@ -35,13 +42,20 @@ func NewDNNDetector(cascade *dnn.Cascade, p Params) (*DNNDetector, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return &DNNDetector{
+	d := &DNNDetector{
 		cascade:    cascade,
 		params:     p,
+		rows:       make([][]float64, 2*p.W),
+		flat:       make([]float64, 4*p.W),
 		viol:       violationCounter{threshold: p.HD},
 		lastApp:    -1,
 		lastAttack: dnn.ClassNoAttack,
-	}, nil
+	}
+	for i := range d.rows {
+		d.rows[i] = d.flat[2*i : 2*i+2 : 2*i+2]
+	}
+	d.win = d.rows[:0]
+	return d, nil
 }
 
 // Name returns "DNN".
@@ -53,20 +67,29 @@ func (d *DNNDetector) Overhead() float64 { return 0.035 }
 
 // Push feeds one PCM sample; a decision is produced every DW samples once
 // a full window is available.
+//
+//memdos:hotpath
 func (d *DNNDetector) Push(s pcm.Sample) []Decision {
-	d.buf = append(d.buf, []float64{s.AccessNum, s.MissNum})
-	if over := len(d.buf) - d.params.W; over > 0 {
-		d.buf = d.buf[over:]
+	n := len(d.win)
+	if n == d.params.W {
+		d.win, n = d.win[1:], n-1
 	}
+	if n == cap(d.win) {
+		// win ends at the end of rows: move its values to the front.
+		copy(d.flat, d.flat[2*(len(d.rows)-n):])
+		d.win = d.rows[:n]
+	}
+	d.win = d.win[:n+1]
+	d.win[n][0], d.win[n][1] = s.AccessNum, s.MissNum
 	d.sinceEval++
-	if len(d.buf) < d.params.W || d.sinceEval < d.params.DW {
+	if len(d.win) < d.params.W || d.sinceEval < d.params.DW {
 		return nil
 	}
 	d.sinceEval = 0
-	app, attackClass := d.cascade.Classify(d.buf)
+	app, attackClass := d.cascade.Classify(d.win)
 	d.lastApp, d.lastAttack = app, attackClass
 	alarm := d.viol.observe(attackClass != dnn.ClassNoAttack)
-	return []Decision{{Time: s.Time, Alarm: alarm}}
+	return d.out.emit(s.Time, alarm)
 }
 
 // LastClassification returns the most recent (application, attack-class)

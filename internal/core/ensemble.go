@@ -47,6 +47,7 @@ type Ensemble struct {
 	vote    Vote
 	state   []bool
 	decided []bool
+	out     decisionBuf
 }
 
 // NewEnsemble combines the members under the vote rule.
@@ -91,6 +92,8 @@ func (e *Ensemble) Overhead() float64 {
 // Push feeds the sample to every member and combines their latest states.
 // No decision is emitted until every member has decided at least once
 // (members have different warm-up lengths).
+//
+//memdos:hotpath
 func (e *Ensemble) Push(s pcm.Sample) []Decision {
 	produced := false
 	for i, m := range e.members {
@@ -123,5 +126,5 @@ func (e *Ensemble) Push(s pcm.Sample) []Decision {
 	case Majority:
 		alarm = 2*alarms > len(e.members)
 	}
-	return []Decision{{Time: s.Time, Alarm: alarm}}
+	return e.out.emit(s.Time, alarm)
 }

@@ -100,6 +100,8 @@ type KSTestDetector struct {
 
 	refAccess, refMiss []float64
 	monAccess, monMiss []float64
+	// ks holds the sorted copies each round's tests work on.
+	ks stats.KSScratch
 
 	viol violationCounter
 	// clear counts consecutive accepting tests while the alarm is up.
@@ -107,6 +109,7 @@ type KSTestDetector struct {
 	// alarm latches between tests so per-instant evaluation sees the
 	// current belief at every monitoring round.
 	alarm bool
+	out   decisionBuf
 }
 
 // NewKSTestDetector returns the baseline detector. throttle may be nil (the
@@ -138,6 +141,8 @@ func (d *KSTestDetector) Overhead() float64 { return 0.02 }
 
 // Push feeds one PCM sample of the protected VM and advances the protocol
 // state machine on the sample's timestamp.
+//
+//memdos:hotpath
 func (d *KSTestDetector) Push(s pcm.Sample) []Decision {
 	if !d.started {
 		d.started = true
@@ -186,7 +191,7 @@ func (d *KSTestDetector) Push(s pcm.Sample) []Decision {
 		if d.clear.observe(!reject) {
 			d.alarm = false
 		}
-		return []Decision{{Time: s.Time, Alarm: d.alarm}}
+		return d.out.emit(s.Time, d.alarm)
 	}
 	return nil
 }
@@ -215,11 +220,11 @@ func (d *KSTestDetector) compare() bool {
 	if len(d.refAccess) == 0 || len(d.monAccess) == 0 {
 		return false
 	}
-	accRes, err := stats.KSTest(d.refAccess, d.monAccess, d.params.Alpha)
+	accRes, err := d.ks.Test(d.refAccess, d.monAccess, d.params.Alpha)
 	if err != nil {
 		return false
 	}
-	missRes, err := stats.KSTest(d.refMiss, d.monMiss, d.params.Alpha)
+	missRes, err := d.ks.Test(d.refMiss, d.monMiss, d.params.Alpha)
 	if err != nil {
 		return false
 	}

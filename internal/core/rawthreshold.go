@@ -18,6 +18,7 @@ type RawThreshold struct {
 
 	prev    float64
 	hasPrev bool
+	out     decisionBuf
 }
 
 // NewRawThreshold returns the naive detector.
@@ -35,6 +36,8 @@ func (d *RawThreshold) Name() string { return "RawThreshold" }
 func (d *RawThreshold) Overhead() float64 { return 0.001 }
 
 // Push compares each sample with its predecessor.
+//
+//memdos:hotpath
 func (d *RawThreshold) Push(s pcm.Sample) []Decision {
 	if !d.hasPrev {
 		d.prev = s.AccessNum
@@ -44,9 +47,9 @@ func (d *RawThreshold) Push(s pcm.Sample) []Decision {
 	prev := d.prev
 	d.prev = s.AccessNum
 	if prev <= 0 {
-		return []Decision{{Time: s.Time, Alarm: s.AccessNum > 0}}
+		return d.out.emit(s.Time, s.AccessNum > 0)
 	}
 	rel := (s.AccessNum - prev) / prev
 	alarm := rel < -d.Threshold || rel > d.Threshold
-	return []Decision{{Time: s.Time, Alarm: alarm}}
+	return d.out.emit(s.Time, alarm)
 }

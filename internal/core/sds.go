@@ -15,6 +15,7 @@ type SDS struct {
 	p *SDSP // nil for non-periodic applications
 
 	bAlarm, pAlarm bool
+	out            decisionBuf
 }
 
 // NewSDS builds the combined detector from an application profile: SDS/P is
@@ -55,6 +56,8 @@ func (d *SDS) Periodic() bool { return d.p != nil }
 // Push feeds one PCM sample to both sub-schemes. Decisions follow SDS/B's
 // cadence (every DW samples); for periodic applications a decision's alarm
 // state is the conjunction of SDS/B's and SDS/P's current states.
+//
+//memdos:hotpath
 func (d *SDS) Push(s pcm.Sample) []Decision {
 	bd := d.b.Push(s)
 	if len(bd) > 0 {
@@ -72,5 +75,5 @@ func (d *SDS) Push(s pcm.Sample) []Decision {
 	if d.p != nil {
 		alarm = d.bAlarm && d.pAlarm
 	}
-	return []Decision{{Time: s.Time, Alarm: alarm}}
+	return d.out.emit(s.Time, alarm)
 }

@@ -30,6 +30,7 @@ type SDSB struct {
 
 	accViol  violationCounter
 	missViol violationCounter
+	out      decisionBuf
 
 	// overhead is the modelled hypervisor CPU cost of the EWMA/bounds
 	// arithmetic (Fig. 14: SDS costs 1-2%).
@@ -66,6 +67,8 @@ func (d *SDSB) Overhead() float64 { return d.overhead }
 
 // Push feeds one PCM sample. A decision is produced whenever a new MA
 // window completes (every DW samples).
+//
+//memdos:hotpath
 func (d *SDSB) Push(s pcm.Sample) []Decision {
 	accAvg, ok := d.accMA.Push(s.AccessNum)
 	missAvg, ok2 := d.missMA.Push(s.MissNum)
@@ -82,7 +85,7 @@ func (d *SDSB) Push(s pcm.Sample) []Decision {
 	accAlarm := d.accViol.observe(accE < accLo || accE > accHi)
 	missAlarm := d.missViol.observe(missE < missLo || missE > missHi)
 
-	return []Decision{{Time: s.Time, Alarm: accAlarm || missAlarm}}
+	return d.out.emit(s.Time, accAlarm || missAlarm)
 }
 
 // EWMAValues returns the latest EWMA of each channel, for diagnostics and

@@ -22,8 +22,12 @@ type SDSP struct {
 	params  Params
 	profile Profile
 
-	ma        *stats.MAStream
+	ma *stats.MAStream
+	// maHistory is the latest (up to W_P) MA values, a view into the
+	// fixed 2*W_P maBuf that compacts in place when the view reaches
+	// its end.
 	maHistory []float64
+	maBuf     []float64
 	sinceEval int
 
 	estimator *period.Estimator
@@ -31,6 +35,7 @@ type SDSP struct {
 
 	lastPeriod float64
 	overhead   float64
+	out        decisionBuf
 }
 
 // NewSDSP returns an SDS/P detector. The profile must be periodic.
@@ -41,14 +46,17 @@ func NewSDSP(profile Profile, p Params) (*SDSP, error) {
 	if !profile.Periodic || profile.Period <= 0 {
 		return nil, fmt.Errorf("core: SDS/P requires a periodic profile (got %+v)", profile)
 	}
-	return &SDSP{
+	d := &SDSP{
 		params:    p,
 		profile:   profile,
 		ma:        stats.NewMAStream(p.W, p.DW),
 		estimator: period.NewEstimator(period.DefaultEstimatorConfig()),
 		viol:      violationCounter{threshold: p.HP},
 		overhead:  0.015,
-	}, nil
+	}
+	d.maBuf = make([]float64, 2*d.windowSize())
+	d.maHistory = d.maBuf[:0]
+	return d, nil
 }
 
 // Name returns "SDS/P".
@@ -69,16 +77,21 @@ func (d *SDSP) windowSize() int {
 
 // Push feeds one PCM sample. A decision is produced each time DWP new MA
 // values have accumulated and a full W_P window is available.
+//
+//memdos:hotpath
 func (d *SDSP) Push(s pcm.Sample) []Decision {
 	avg, ok := d.ma.Push(s.AccessNum)
 	if !ok {
 		return nil
 	}
 	wp := d.windowSize()
-	d.maHistory = append(d.maHistory, avg)
-	if over := len(d.maHistory) - wp; over > 0 {
-		d.maHistory = d.maHistory[over:]
+	if len(d.maHistory) == wp {
+		d.maHistory = d.maHistory[1:]
 	}
+	if len(d.maHistory) == cap(d.maHistory) {
+		d.maHistory = d.maBuf[:copy(d.maBuf, d.maHistory)]
+	}
+	d.maHistory = append(d.maHistory, avg)
 	d.sinceEval++
 	if d.sinceEval < d.params.DWP || len(d.maHistory) < wp {
 		return nil
@@ -95,7 +108,7 @@ func (d *SDSP) Push(s pcm.Sample) []Decision {
 		d.lastPeriod = 0
 	}
 	alarm := d.viol.observe(deviant)
-	return []Decision{{Time: s.Time, Alarm: alarm}}
+	return d.out.emit(s.Time, alarm)
 }
 
 // LastPeriod returns the most recent period estimate in MA samples (0 when

@@ -46,6 +46,7 @@ type SDSU struct {
 
 	utilViol violationCounter
 	missViol violationCounter
+	out      decisionBuf
 }
 
 // SDSU calibration constants: the warm-up length in MA windows, and the
@@ -87,6 +88,8 @@ func (d *SDSU) Name() string { return "SDS/U" }
 func (d *SDSU) Overhead() float64 { return 0.013 }
 
 // Push feeds one PCM sample; the utilization source is sampled alongside.
+//
+//memdos:hotpath
 func (d *SDSU) Push(s pcm.Sample) []Decision {
 	missRatio := 0.0
 	if s.AccessNum > 0 {
@@ -110,12 +113,12 @@ func (d *SDSU) Push(s pcm.Sample) []Decision {
 			d.missCeil = mMean*sdsuMissMargin + d.params.K*mStd
 			d.calibrated = true
 		}
-		return []Decision{{Time: s.Time, Alarm: false}}
+		return d.out.emit(s.Time, false)
 	}
 
 	utilAlarm := d.utilViol.observe(uE < d.utilFloor)
 	missAlarm := d.missViol.observe(mE > d.missCeil)
-	return []Decision{{Time: s.Time, Alarm: utilAlarm || missAlarm}}
+	return d.out.emit(s.Time, utilAlarm || missAlarm)
 }
 
 // Calibrated reports whether the warm-up has completed; Thresholds returns

@@ -28,7 +28,7 @@ func runDynamic(t *testing.T, atk *attack.Attacker, dur float64, seed uint64, mk
 	det := mk(victim)
 	var ds []Decision
 	srv.RunUntil(dur, func(res vmm.StepResult) {
-		if s, ok := res.Samples[victim.ID()]; ok {
+		if s, ok := res.Sample(victim.ID()); ok {
 			ds = append(ds, det.Push(s)...)
 		}
 	})

@@ -85,7 +85,7 @@ func (d *SDSB) StateSnapshot() map[string]float64 {
 // Reset returns SDS/P to its just-constructed state.
 func (d *SDSP) Reset() {
 	d.ma.Reset()
-	d.maHistory = d.maHistory[:0]
+	d.maHistory = d.maBuf[:0]
 	d.sinceEval = 0
 	d.viol.reset()
 	d.lastPeriod = 0
@@ -185,7 +185,7 @@ func (d *KSTestDetector) StateSnapshot() map[string]float64 {
 // Reset returns the DNN detector to its just-constructed state; the
 // trained cascade weights are untouched.
 func (d *DNNDetector) Reset() {
-	d.buf = d.buf[:0]
+	d.win = d.rows[:0]
 	d.sinceEval = 0
 	d.viol.reset()
 	d.lastApp = -1
@@ -195,7 +195,7 @@ func (d *DNNDetector) Reset() {
 // StateSnapshot exposes the window fill and latest classification.
 func (d *DNNDetector) StateSnapshot() map[string]float64 {
 	return map[string]float64{
-		"window_fill":       float64(len(d.buf)),
+		"window_fill":       float64(len(d.win)),
 		"last_app":          float64(d.lastApp),
 		"last_attack_class": float64(d.lastAttack),
 		"violations":        float64(d.viol.count),

@@ -65,13 +65,22 @@ func checkResetEquivalence(t *testing.T, name string, build func() Detector, sam
 	}
 }
 
-func TestResetAndSnapshotAllDetectors(t *testing.T) {
+// detectorCase builds one of the package's detectors.
+type detectorCase struct {
+	name  string
+	build func() Detector
+}
+
+// allDetectors returns a builder for each of the eight detectors, wired
+// for stateSamples streams: a synthetic profile, a periodic variant for
+// SDS/P, an untrained cascade for DNN.
+func allDetectors(t *testing.T) []detectorCase {
+	t.Helper()
 	p := stateParams()
 	prof := Profile{AccessMean: 100, AccessStd: 8, MissMean: 10, MissStd: 2}
 	periodic := prof
 	periodic.Periodic = true
 	periodic.Period = 1 // MA of a period-10 sinusoid at W=20,DW=10
-	samples := stateSamples(1600)
 
 	rng := sim.NewRNG(7)
 	cascade, err := dnn.NewCascade(2, dnn.CompactLSTMFCNConfig, rng)
@@ -81,10 +90,7 @@ func TestResetAndSnapshotAllDetectors(t *testing.T) {
 	// Untrained cascade: supply an identity normalization so Classify runs.
 	cascade.Norm = dnn.ChannelNorm{Mean: []float64{0, 0}, Std: []float64{1, 1}}
 
-	cases := []struct {
-		name  string
-		build func() Detector
-	}{
+	return []detectorCase{
 		{"SDS/B", func() Detector { d, _ := NewSDSB(prof, p); return d }},
 		{"SDS/P", func() Detector { d, _ := NewSDSP(periodic, p); return d }},
 		{"SDS", func() Detector { d, _ := NewSDS(periodic, p); return d }},
@@ -99,7 +105,11 @@ func TestResetAndSnapshotAllDetectors(t *testing.T) {
 			return e
 		}},
 	}
-	for _, tc := range cases {
+}
+
+func TestResetAndSnapshotAllDetectors(t *testing.T) {
+	samples := stateSamples(1600)
+	for _, tc := range allDetectors(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			checkResetEquivalence(t, tc.name, tc.build, samples)
 		})

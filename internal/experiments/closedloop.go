@@ -198,6 +198,8 @@ func closedLoopRun(spec ClosedLoopSpec, maxDur float64, attacked, mitigate bool,
 	cfg := vmm.DefaultConfig()
 	cfg.Seed = spec.Seed
 	cfg.Mem = spec.Mem
+	// The arm reads completion times and engine state, never a PCM series.
+	cfg.DisableHistory = true
 	srv, err := vmm.NewServer(cfg)
 	if err != nil {
 		return 0, err
@@ -292,13 +294,15 @@ func closedLoopRun(spec ClosedLoopSpec, maxDur float64, attacked, mitigate bool,
 		}
 	}
 
+	var batch [1]pcm.Sample // Ingest copies the batch, so one buffer serves every step
 	for !victim.Completed() && srv.Now() < maxDur {
 		step := srv.Step()
 		if !mitigate {
 			continue
 		}
-		if smp, ok := step.Samples[victim.ID()]; ok {
-			if _, err := hub.Ingest(sessionID, []pcm.Sample{smp}); err != nil {
+		var ok bool
+		if batch[0], ok = step.Sample(victim.ID()); ok {
+			if _, err := hub.Ingest(sessionID, batch[:]); err != nil {
 				return 0, err
 			}
 		}

@@ -243,6 +243,13 @@ func buildServer(spec RunSpec) (*vmm.Server, *vmm.VM, []metrics.Interval, error)
 			return nil, nil, nil, err
 		}
 	}
+	// Only the victim's PCM history is ever read; the other tenants'
+	// counters keep producing samples without recording them.
+	for _, vm := range srv.VMs() {
+		if vm != victim {
+			srv.Counter(vm.ID()).SetRetainHistory(false)
+		}
+	}
 	return srv, victim, truth, nil
 }
 
@@ -301,16 +308,20 @@ func Run(spec RunSpec, params core.Params, factories map[string]DetectorFactory)
 		}
 	}
 
-	res := &RunResult{Decisions: make(map[string][]core.Decision), Truth: truth}
+	decisions := make([][]core.Decision, len(detectors))
 	srv.RunUntil(spec.Duration, func(step vmm.StepResult) {
-		s, ok := step.Samples[victim.ID()]
+		s, ok := step.Sample(victim.ID())
 		if !ok {
 			return
 		}
 		for i, det := range detectors {
-			res.Decisions[names[i]] = append(res.Decisions[names[i]], det.Push(s)...)
+			decisions[i] = append(decisions[i], det.Push(s)...)
 		}
 	})
+	res := &RunResult{Decisions: make(map[string][]core.Decision, len(names)), Truth: truth}
+	for i, name := range names {
+		res.Decisions[name] = decisions[i]
+	}
 	c := srv.Counter(victim.ID())
 	res.Access = c.AccessSeries()
 	res.Miss = c.MissSeries()

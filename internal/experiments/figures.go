@@ -66,6 +66,7 @@ func Fig1KStestFalsePositives(dur float64, seeds []uint64) (*Fig1Result, error) 
 		var out cell
 		cfg := vmm.DefaultConfig()
 		cfg.Seed = seed
+		cfg.DisableHistory = true // the cell reads decisions, not the PCM series
 		srv, err := vmm.NewServer(cfg)
 		if err != nil {
 			return out, err
@@ -83,7 +84,7 @@ func Fig1KStestFalsePositives(dur float64, seeds []uint64) (*Fig1Result, error) 
 		}
 		intervalAlarmed := make(map[int]bool)
 		srv.RunUntil(dur, func(step vmm.StepResult) {
-			s, ok := step.Samples[victim.ID()]
+			s, ok := step.Sample(victim.ID())
 			if !ok {
 				return
 			}
@@ -251,7 +252,7 @@ func Fig7SDSBExample() (*Fig7Result, error) {
 	res.Lower, res.Upper = prof.AccessBounds(params.K)
 	widx := 0
 	srv.RunUntil(spec.Duration, func(step vmm.StepResult) {
-		s, ok := step.Samples[victim.ID()]
+		s, ok := step.Sample(victim.ID())
 		if !ok {
 			return
 		}
@@ -314,7 +315,7 @@ func Fig8SDSPExample() (*Fig8Result, error) {
 	ma := stats.NewMAStream(params.W, params.DW)
 	widx := 0
 	srv.RunUntil(spec.Duration, func(step vmm.StepResult) {
-		s, ok := step.Samples[victim.ID()]
+		s, ok := step.Sample(victim.ID())
 		if !ok {
 			return
 		}
@@ -507,6 +508,8 @@ func Fig14Overhead(apps []string) ([]Fig14Row, error) {
 func completionTime(app string, cpu float64, throttled bool, params core.Params) (float64, error) {
 	cfg := vmm.DefaultConfig()
 	cfg.Seed = 17
+	// Only the finish time is read: no VM's PCM history is needed.
+	cfg.DisableHistory = true
 	srv, err := vmm.NewServer(cfg)
 	if err != nil {
 		return 0, err
@@ -548,7 +551,7 @@ func completionTime(app string, cpu float64, throttled bool, params core.Params)
 		if ks == nil {
 			return
 		}
-		if s, ok := step.Samples[protected.ID()]; ok {
+		if s, ok := step.Sample(protected.ID()); ok {
 			ks.Push(s)
 		}
 	})

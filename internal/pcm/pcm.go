@@ -9,6 +9,7 @@ package pcm
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"memdos/internal/trace"
 )
@@ -97,6 +98,17 @@ func (c *Counter) TPCM() float64 { return c.tpcm }
 // series' earlier gap is not backfilled, so mixed-retention series
 // should not be used for figure traces.
 func (c *Counter) SetRetainHistory(on bool) { c.retain = on }
+
+// Reserve makes room in the retained series for n more samples, so a
+// caller that knows how long it will run grows them once instead of
+// repeatedly while appending. It does nothing while retention is off.
+func (c *Counter) Reserve(n int) {
+	if !c.retain || n <= 0 {
+		return
+	}
+	c.accessSeries.Values = slices.Grow(c.accessSeries.Values, n)
+	c.missSeries.Values = slices.Grow(c.missSeries.Values, n)
+}
 
 // AddMem records one simulation tick's worth of DRAM traffic: bytes
 // delivered, the delivered-line-weighted latency sum in seconds, and the

@@ -5,6 +5,13 @@ package period
 // ACF[0] == 1 (unless the series has zero variance, in which case all lags
 // are 0 except lag 0 which is 1 for non-empty input).
 func ACF(x []float64, maxLag int) []float64 {
+	var s scratch
+	return s.acf(x, maxLag)
+}
+
+// acf is ACF with its working and result buffers kept in s; the result
+// is valid until the next call that reuses them.
+func (s *scratch) acf(x []float64, maxLag int) []float64 {
 	n := len(x)
 	if n == 0 || maxLag < 0 {
 		return nil
@@ -17,15 +24,16 @@ func ACF(x []float64, maxLag int) []float64 {
 		mean += v
 	}
 	mean /= float64(n)
-	centered := make([]float64, n)
+	centered := resize(&s.centered, n)
 	var c0 float64
 	for i, v := range x {
 		centered[i] = v - mean
 		c0 += centered[i] * centered[i]
 	}
-	out := make([]float64, maxLag+1)
+	out := resize(&s.acfOut, maxLag+1)
 	out[0] = 1
 	if c0 == 0 { //memdos:ignore floateq exact zero variance (constant window); division guard
+		clear(out[1:])
 		return out
 	}
 	// For the short windows SDS/P uses (a few hundred points), the direct

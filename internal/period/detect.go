@@ -2,7 +2,7 @@ package period
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // Estimate is the result of a DFT-ACF period search.
@@ -51,8 +51,13 @@ func DefaultEstimatorConfig() EstimatorConfig {
 // propose frequencies that don't exist), and the ACF validates each
 // candidate on a hill (avoiding DFT false frequencies while not wandering
 // to ACF's period multiples).
+//
+// An Estimator keeps its working buffers between calls, so repeated
+// estimates over same-sized windows do not allocate; it is not safe for
+// concurrent use.
 type Estimator struct {
 	cfg EstimatorConfig
+	s   scratch
 }
 
 // NewEstimator returns an Estimator with the given configuration. Zero
@@ -80,14 +85,27 @@ type candidate struct {
 	power  float64
 }
 
+// byPowerDesc orders candidates strongest first.
+func byPowerDesc(a, b candidate) int {
+	switch {
+	case a.power > b.power:
+		return -1
+	case a.power < b.power:
+		return 1
+	}
+	return 0
+}
+
 // Estimate runs the DFT-ACF search over x. Series shorter than 8 samples
 // are reported as non-periodic.
+//
+//memdos:hotpath
 func (e *Estimator) Estimate(x []float64) Estimate {
 	n := len(x)
 	if n < 8 {
 		return Estimate{}
 	}
-	spec := Periodogram(x)
+	spec := e.s.periodogram(x)
 	// Mean power over non-DC bins forms the significance floor.
 	var meanPower float64
 	for _, p := range spec[1:] {
@@ -96,7 +114,7 @@ func (e *Estimator) Estimate(x []float64) Estimate {
 	meanPower /= float64(len(spec) - 1)
 	threshold := e.cfg.PowerFactor * meanPower
 
-	var cands []candidate
+	cands := e.s.cands[:0]
 	for k := 1; k < len(spec); k++ {
 		if spec[k] < threshold {
 			continue
@@ -109,16 +127,17 @@ func (e *Estimator) Estimate(x []float64) Estimate {
 		}
 		cands = append(cands, candidate{period: p, power: spec[k]})
 	}
+	e.s.cands = cands
 	if len(cands) == 0 {
 		return Estimate{}
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].power > cands[j].power })
+	slices.SortFunc(cands, byPowerDesc)
 	if len(cands) > e.cfg.MaxCandidates {
 		cands = cands[:e.cfg.MaxCandidates]
 	}
 
 	maxLag := n - 1
-	acf := ACF(x, maxLag)
+	acf := e.s.acf(x, maxLag)
 	best := Estimate{}
 	for _, c := range cands {
 		lag := int(math.Round(c.period))

@@ -91,9 +91,35 @@ func fftPow2(a []complex128, inverse bool) {
 	}
 }
 
+// scratch holds the working buffers of one period estimator, so repeated
+// estimates over same-sized windows allocate nothing. The exported
+// one-shot functions run on a fresh scratch.
+type scratch struct {
+	cx, out, a, b, chirp   []complex128
+	centered, spec, acfOut []float64
+	cands                  []candidate
+}
+
+// resize returns (*buf)[:n], growing the buffer when it is too short. The
+// contents are unspecified.
+func resize[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n) //memdos:ignore hotalloc grow-once scratch sized to the window; reused by every later estimate
+	}
+	*buf = (*buf)[:n]
+	return *buf
+}
+
 // bluestein computes a DFT of arbitrary length via the chirp-z transform,
 // reducing it to a power-of-two convolution.
 func bluestein(x []complex128, inverse bool) []complex128 {
+	var s scratch
+	return s.bluestein(x, inverse)
+}
+
+// bluestein is the package function with every buffer kept in s; the
+// result is s.out.
+func (s *scratch) bluestein(x []complex128, inverse bool) []complex128 {
 	n := len(x)
 	m := 1
 	for m < 2*n-1 {
@@ -104,14 +130,16 @@ func bluestein(x []complex128, inverse bool) []complex128 {
 		sign = 1.0
 	}
 	// chirp[k] = exp(sign * i*pi*k^2/n)
-	chirp := make([]complex128, n)
+	chirp := resize(&s.chirp, n)
 	for k := 0; k < n; k++ {
 		// k*k may overflow for huge n in theory; series here are small.
 		ang := sign * math.Pi * float64(k) * float64(k) / float64(n)
 		chirp[k] = cmplx.Rect(1, ang)
 	}
-	a := make([]complex128, m)
-	b := make([]complex128, m)
+	a := resize(&s.a, m)
+	b := resize(&s.b, m)
+	clear(a)
+	clear(b)
 	for k := 0; k < n; k++ {
 		a[k] = x[k] * chirp[k]
 		b[k] = cmplx.Conj(chirp[k])
@@ -126,7 +154,7 @@ func bluestein(x []complex128, inverse bool) []complex128 {
 	}
 	fftPow2(a, true)
 	scale := complex(1/float64(m), 0)
-	out := make([]complex128, n)
+	out := resize(&s.out, n)
 	for k := 0; k < n; k++ {
 		out[k] = a[k] * scale * chirp[k]
 	}
@@ -137,6 +165,13 @@ func bluestein(x []complex128, inverse bool) []complex128 {
 // series for k = 0..n/2 (inclusive). Removing the mean suppresses the DC
 // component so dominant-frequency searches are not swamped by the offset.
 func Periodogram(x []float64) []float64 {
+	var s scratch
+	return s.periodogram(x)
+}
+
+// periodogram is Periodogram with every buffer kept in s; the result is
+// s.spec.
+func (s *scratch) periodogram(x []float64) []float64 {
 	n := len(x)
 	if n == 0 {
 		return nil
@@ -146,13 +181,17 @@ func Periodogram(x []float64) []float64 {
 		mean += v
 	}
 	mean /= float64(n)
-	centered := make([]float64, n)
+	spec := resize(&s.cx, n)
 	for i, v := range x {
-		centered[i] = v - mean
+		spec[i] = complex(v-mean, 0)
 	}
-	spec := FFTReal(centered)
+	if n&(n-1) == 0 {
+		fftPow2(spec, false)
+	} else {
+		spec = s.bluestein(spec, false)
+	}
 	half := n/2 + 1
-	out := make([]float64, half)
+	out := resize(&s.spec, half)
 	for k := 0; k < half; k++ {
 		m := cmplx.Abs(spec[k])
 		out[k] = m * m / float64(n)

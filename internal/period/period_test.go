@@ -346,3 +346,36 @@ func TestIsACFPeakPlateau(t *testing.T) {
 		t.Error("descending lag misreported as peak")
 	}
 }
+
+// TestEstimatorReuseMatchesFresh: an estimator whose scratch buffers
+// were sized by earlier windows (longer, shorter, power-of-two or not)
+// returns exactly what a fresh estimator returns.
+func TestEstimatorReuseMatchesFresh(t *testing.T) {
+	r := sim.NewRNG(11)
+	reused := NewEstimator(DefaultEstimatorConfig())
+	for _, n := range []int{200, 34, 64, 128, 17, 200, 8, 90} {
+		x := sineSeries(r, n, float64(n)/5, 1)
+		got := reused.Estimate(x)
+		want := NewEstimator(DefaultEstimatorConfig()).Estimate(x)
+		if got != want {
+			t.Errorf("n=%d: reused estimator %+v, fresh %+v", n, got, want)
+		}
+	}
+}
+
+// TestEstimateZeroAllocs pins Estimator.Estimate at 0 allocs once its
+// scratch has grown to the window size, for both FFT paths (radix-2 and
+// Bluestein).
+func TestEstimateZeroAllocs(t *testing.T) {
+	r := sim.NewRNG(12)
+	for _, n := range []int{64, 34} {
+		x := sineSeries(r, n, 8.5, 1)
+		est := NewEstimator(DefaultEstimatorConfig())
+		if !est.Estimate(x).Periodic {
+			t.Fatalf("n=%d: test series not periodic", n)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { est.Estimate(x) }); allocs != 0 {
+			t.Errorf("n=%d: Estimate allocs %v, want 0", n, allocs)
+		}
+	}
+}

@@ -25,19 +25,33 @@ type KSResult struct {
 // This is the statistical core of the KStest baseline detector from
 // Zhang et al. (AsiaCCS'17), reimplemented per Massey (1951).
 func KSTest(a, b []float64, alpha float64) (KSResult, error) {
+	var s KSScratch
+	return s.Test(a, b, alpha)
+}
+
+// KSScratch holds the sorted copies KSTest works on. A caller that runs
+// test after test (the KStest detector, once per monitoring round) keeps
+// one and calls Test, which reuses the buffers instead of allocating.
+type KSScratch struct {
+	a, b []float64
+}
+
+// Test is KSTest with the sorted copies kept in s. The inputs are not
+// modified.
+func (s *KSScratch) Test(a, b []float64, alpha float64) (KSResult, error) {
 	if len(a) == 0 || len(b) == 0 {
 		return KSResult{}, fmt.Errorf("stats: KS test requires non-empty samples (got %d, %d)", len(a), len(b))
 	}
 	if alpha <= 0 || alpha >= 1 {
 		return KSResult{}, fmt.Errorf("stats: KS significance %v outside (0,1)", alpha)
 	}
-	as := append([]float64(nil), a...)
-	bs := append([]float64(nil), b...)
-	sort.Float64s(as)
-	sort.Float64s(bs)
+	s.a = append(s.a[:0], a...)
+	s.b = append(s.b[:0], b...)
+	sort.Float64s(s.a)
+	sort.Float64s(s.b)
 
-	d := ksStatistic(as, bs)
-	n1, n2 := float64(len(as)), float64(len(bs))
+	d := ksStatistic(s.a, s.b)
+	n1, n2 := float64(len(s.a)), float64(len(s.b))
 	ne := n1 * n2 / (n1 + n2)
 	// Stephens' correction improves the asymptotic approximation for
 	// moderate sample sizes.

@@ -64,37 +64,53 @@ func EWMA(xs []float64, alpha float64) []float64 {
 // MAStream incrementally computes the MA of a raw sample stream. It is the
 // online counterpart of MA: feed raw samples with Push; each time a full
 // window is available it emits one averaged value and then slides by the
-// step size.
+// step size. The samples live in a fixed 2w buffer that compacts in place
+// when the live window reaches its end, so Push never allocates.
 type MAStream struct {
 	w, dw int
-	buf   []float64
+	// buf[start:start+n] holds the buffered samples, oldest first; n
+	// never exceeds w.
+	buf      []float64
+	start, n int
 }
 
-// NewMAStream returns a streaming moving-average with window w and step dw.
+// NewMAStream returns a streaming moving-average with window w and step
+// dw, which must satisfy 0 < dw <= w.
 func NewMAStream(w, dw int) *MAStream {
 	if w <= 0 || dw <= 0 {
 		panic(fmt.Sprintf("stats: MAStream with non-positive window %d or step %d", w, dw))
 	}
-	return &MAStream{w: w, dw: dw}
+	if dw > w {
+		panic(fmt.Sprintf("stats: MAStream step %d exceeds window %d", dw, w))
+	}
+	return &MAStream{w: w, dw: dw, buf: make([]float64, 2*w)}
 }
 
 // Reset discards all buffered samples, returning the stream to its
 // just-constructed state.
-func (m *MAStream) Reset() { m.buf = m.buf[:0] }
+func (m *MAStream) Reset() { m.start, m.n = 0, 0 }
 
 // Push appends one raw sample and returns (avg, true) when a new window
 // average becomes available, else (0, false).
+//
+//memdos:hotpath
 func (m *MAStream) Push(v float64) (float64, bool) {
-	m.buf = append(m.buf, v)
-	if len(m.buf) < m.w {
+	if m.start+m.n == len(m.buf) {
+		copy(m.buf, m.buf[m.start:m.start+m.n])
+		m.start = 0
+	}
+	m.buf[m.start+m.n] = v
+	m.n++
+	if m.n < m.w {
 		return 0, false
 	}
 	var sum float64
-	for _, x := range m.buf[len(m.buf)-m.w:] {
+	for _, x := range m.buf[m.start : m.start+m.w] {
 		sum += x
 	}
 	// Slide: drop dw oldest samples so the next window starts dw later.
-	m.buf = m.buf[m.dw:]
+	m.start += m.dw
+	m.n -= m.dw
 	return sum / float64(m.w), true
 }
 

@@ -146,6 +146,57 @@ func TestMAStreamMatchesBatch(t *testing.T) {
 	}
 }
 
+// TestMAStreamRejectsStepAboveWindow: a step longer than the window
+// would skip samples between windows; the constructor refuses it.
+func TestMAStreamRejectsStepAboveWindow(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil {
+			t.Fatal("NewMAStream(10, 20) did not panic")
+		}
+	}()
+	NewMAStream(10, 20)
+}
+
+// TestMAStreamPushZeroAllocs pins MAStream.Push at 0 allocs per sample,
+// across window emissions and in-place compactions of its buffer.
+func TestMAStreamPushZeroAllocs(t *testing.T) {
+	s := NewMAStream(50, 20)
+	v, emitted := 0.0, 0
+	push := func() {
+		for i := 0; i < 1000; i++ {
+			v++
+			if _, ok := s.Push(v); ok {
+				emitted++
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(1, push); allocs != 0 {
+		t.Errorf("MAStream.Push: %v allocs per 1000 samples, want 0", allocs)
+	}
+	if emitted == 0 {
+		t.Error("no window emitted")
+	}
+}
+
+// TestMAStreamResetAfterCompaction: Reset after the buffer has compacted
+// restarts the stream exactly as a fresh one.
+func TestMAStreamResetAfterCompaction(t *testing.T) {
+	const w, dw = 5, 5
+	s := NewMAStream(w, dw)
+	for i := 0; i < 23; i++ {
+		s.Push(float64(i))
+	}
+	s.Reset()
+	fresh := NewMAStream(w, dw)
+	for i := 0; i < 40; i++ {
+		a, okA := s.Push(float64(i * i))
+		b, okB := fresh.Push(float64(i * i))
+		if a != b || okA != okB {
+			t.Fatalf("push %d: reset stream (%v,%v), fresh (%v,%v)", i, a, okA, b, okB)
+		}
+	}
+}
+
 func TestEWMAStreamMatchesBatch(t *testing.T) {
 	xs := []float64{5, 1, 9, 2, 6, 8}
 	batch := EWMA(xs, 0.3)

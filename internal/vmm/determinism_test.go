@@ -50,7 +50,7 @@ func TestServerRunsByteIdentical(t *testing.T) {
 		var buf bytes.Buffer
 		enc := json.NewEncoder(&buf)
 		srv.RunUntil(60, func(step StepResult) {
-			if s, ok := step.Samples[victim.ID()]; ok {
+			if s, ok := step.Sample(victim.ID()); ok {
 				if err := enc.Encode(s); err != nil {
 					t.Fatal(err)
 				}

@@ -66,7 +66,7 @@ func memRun(t *testing.T, cfg Config, hog *attack.Attacker, remote bool, dur flo
 	s.RunUntil(dur, func(res StepResult) {
 		speedSum += victim.LastSpeed()
 		steps++
-		if smp, ok := res.Samples[victim.ID()]; ok {
+		if smp, ok := res.Sample(victim.ID()); ok {
 			accSum += smp.AccessNum
 			bwSum += smp.BWBytes
 			samples++
@@ -246,7 +246,7 @@ func memFingerprint(t *testing.T, seed uint64) []byte {
 	var buf bytes.Buffer
 	s.RunUntil(5, func(res StepResult) {
 		for id := VMID(0); int(id) < len(s.vms); id++ {
-			if smp, ok := res.Samples[id]; ok {
+			if smp, ok := res.Sample(id); ok {
 				_ = binary.Write(&buf, binary.LittleEndian, smp)
 			}
 		}
@@ -308,12 +308,13 @@ func TestExportClearsMemState(t *testing.T) {
 // samples). This is the back-compat contract for every existing study.
 func TestLegacyServerSamplesHaveNoDRAMFields(t *testing.T) {
 	s := newServer(t)
-	if _, err := s.AddApp("victim", workload.MustByAbbrev("KM")); err != nil {
+	vm, err := s.AddApp("victim", workload.MustByAbbrev("KM"))
+	if err != nil {
 		t.Fatal(err)
 	}
 	var seen int
 	s.RunUntil(2, func(res StepResult) {
-		for _, smp := range res.Samples {
+		if smp, ok := res.Sample(vm.ID()); ok {
 			seen++
 			if smp.BWBytes != 0 || smp.AvgLatency != 0 {
 				t.Fatalf("legacy sample carries DRAM fields: %+v", smp)

@@ -14,7 +14,7 @@ func collectSamples(s *Server, id VMID, n int) []pcm.Sample {
 	out := make([]pcm.Sample, 0, n)
 	for i := 0; i < n; i++ {
 		res := s.Step()
-		if smp, ok := res.Samples[id]; ok {
+		if smp, ok := res.Sample(id); ok {
 			out = append(out, smp)
 		}
 	}
@@ -97,7 +97,7 @@ func TestMigrationHuskAndStateReuse(t *testing.T) {
 		t.Error("double export succeeded")
 	}
 	res := src.Step()
-	if _, ok := res.Samples[vm.ID()]; ok {
+	if _, ok := res.Sample(vm.ID()); ok {
 		t.Error("departed husk produced a sample")
 	}
 	if vm.LastSpeed() != 0 {

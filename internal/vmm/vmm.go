@@ -23,6 +23,7 @@ package vmm
 
 import (
 	"fmt"
+	"math"
 
 	"memdos/internal/attack"
 	"memdos/internal/bus"
@@ -163,11 +164,17 @@ type Server struct {
 	memStall   []float64
 	memBaseLat float64
 
-	// Per-step scratch, reused across Step calls so the per-tick hot loop
-	// does not allocate: stepStates is indexed by VMID (VM ids are their
-	// index in vms), stepSamples backs StepResult.Samples.
+	// Per-step scratch, indexed by VMID like vms and grown with it, so
+	// the per-tick hot loop does not allocate: stepStates holds phase 2's
+	// demands, stepSamples backs StepResult.Sample.
 	stepStates  []appState
-	stepSamples map[VMID]pcm.Sample
+	stepSamples []stepSample
+}
+
+// stepSample is one VM's slot in a step's dense sample table.
+type stepSample struct {
+	sample pcm.Sample
+	ok     bool
 }
 
 // appState is the per-VM demand bookkeeping of one step's phase 2. The
@@ -242,11 +249,18 @@ func (s *Server) addVM(vm *VM, name string) {
 	if s.cfg.DisableHistory {
 		c.SetRetainHistory(false)
 	}
+	s.appendVM(vm, c)
+}
+
+// appendVM grows every dense per-VM slice by the new VM's slot.
+func (s *Server) appendVM(vm *VM, c *pcm.Counter) {
 	s.vms = append(s.vms, vm)
 	s.counters = append(s.counters, c)
 	s.execThrottle = append(s.execThrottle, 0)
 	s.partitioned = append(s.partitioned, false)
 	s.memStall = append(s.memStall, 1)
+	s.stepStates = append(s.stepStates, appState{})
+	s.stepSamples = append(s.stepSamples, stepSample{})
 	if s.mc != nil {
 		// Default NUMA affinity: round-robin over sockets, overridable via
 		// SetVMSocket.
@@ -343,14 +357,25 @@ func (s *Server) CachePartitioned(id VMID) bool {
 	return int(id) >= 0 && int(id) < len(s.partitioned) && s.partitioned[id]
 }
 
-// StepResult carries the PCM samples completed during a step, keyed by VM.
+// StepResult carries the PCM samples completed during a step; Sample
+// looks one VM's up.
 //
-// Samples is a view over the server's per-step scratch map: it is valid
+// A StepResult is a view over the server's per-step scratch: it is valid
 // until the next Step call and must not be retained across steps (every
 // in-tree caller consumes it inside the step callback).
 type StepResult struct {
 	Time    float64
-	Samples map[VMID]pcm.Sample
+	samples []stepSample
+}
+
+// Sample returns the PCM sample the VM completed during the step, and
+// false when it completed none (or the id is unknown).
+func (r StepResult) Sample(id VMID) (pcm.Sample, bool) {
+	if int(id) < 0 || int(id) >= len(r.samples) {
+		return pcm.Sample{}, false
+	}
+	e := &r.samples[id]
+	return e.sample, e.ok
 }
 
 // Step advances the server by one T_PCM tick and returns any completed PCM
@@ -397,10 +422,7 @@ func (s *Server) Step() StepResult {
 	}
 
 	// Phase 2: application demands, attenuated by cleansing stalls.
-	if len(s.stepStates) < len(s.vms) {
-		s.stepStates = make([]appState, len(s.vms)) //memdos:ignore hotalloc grow-once scratch sized to the VM population; reused every step
-	}
-	states := s.stepStates[:len(s.vms)]
+	states := s.stepStates
 	for i := range states {
 		states[i] = appState{}
 	}
@@ -434,17 +456,15 @@ func (s *Server) Step() StepResult {
 		memRes = s.mc.Resolve(dt)
 	}
 
-	// Phase 4: progress and PCM accounting.
-	if s.stepSamples == nil {
-		s.stepSamples = make(map[VMID]pcm.Sample, len(s.vms)) //memdos:ignore hotalloc built once, then cleared and reused every step
-	}
-	clear(s.stepSamples)
-	res := StepResult{Time: now + dt, Samples: s.stepSamples}
+	// Phase 4: progress and PCM accounting. Every VM's sample slot is
+	// written, so no slot carries over from the previous step.
+	samples := s.stepSamples
 	for _, vm := range s.vms {
 		if vm.departed {
 			// The VM's counter migrated with it; the husk produces
 			// nothing.
 			vm.lastSpeed = 0
+			samples[vm.id].ok = false
 			continue
 		}
 		var accesses, misses float64
@@ -485,19 +505,27 @@ func (s *Server) Step() StepResult {
 				s.counters[vm.id].AddMem(lines*s.cfg.Mem.LineBytes, memRes.LatencySumOf(o), lines)
 			}
 		}
-		if sample, ok := s.counters[vm.id].Observe(accesses, misses); ok {
-			res.Samples[vm.id] = sample
-		}
+		samples[vm.id].sample, samples[vm.id].ok = s.counters[vm.id].Observe(accesses, misses)
 	}
 
 	s.clock.Tick()
-	return res
+	return StepResult{Time: now + dt, samples: samples}
 }
 
 // RunUntil steps the server until simulated time t, invoking onStep (if
 // non-nil) after every step. onStep may call back into the server (e.g. to
-// throttle).
+// throttle). Every counter that retains history is grown once for the
+// samples the run will add (one per step, see addVM).
 func (s *Server) RunUntil(t float64, onStep func(StepResult)) {
+	if steps := (t - s.clock.Now()) / s.cfg.TPCM; steps > 0 {
+		// One spare slot absorbs the rounding of the step count.
+		n := int(math.Ceil(steps)) + 1
+		for _, c := range s.counters {
+			if c != nil {
+				c.Reserve(n)
+			}
+		}
+	}
 	for s.clock.Now() < t {
 		res := s.Step()
 		if onStep != nil {
@@ -596,14 +624,7 @@ func (s *Server) AdmitVM(st *VMState) (*VM, error) {
 	// timeline with the destination clock (counters run at one sample per
 	// tick, see addVM). A lockstep zero-downtime admission is a no-op.
 	c.SkipToSample(int(s.clock.Ticks()))
-	s.vms = append(s.vms, vm)
-	s.counters = append(s.counters, c)
-	s.execThrottle = append(s.execThrottle, 0)
-	s.partitioned = append(s.partitioned, false)
-	s.memStall = append(s.memStall, 1)
-	if s.mc != nil {
-		_ = s.mc.SetHome(mem.Owner(vm.id), int(vm.id)%s.cfg.Mem.Sockets)
-	}
+	s.appendVM(vm, c)
 	st.app, st.attacker, st.counter = nil, nil, nil
 	return vm, nil
 }

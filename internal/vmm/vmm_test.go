@@ -242,12 +242,17 @@ func TestCompletionDelayedUnderAttack(t *testing.T) {
 
 func TestOnStepCallback(t *testing.T) {
 	s := newServer(t)
-	s.AddApp("v", workload.MustByAbbrev("KM"))
+	vm, _ := s.AddApp("v", workload.MustByAbbrev("KM"))
 	calls := 0
 	samples := 0
 	s.RunUntil(1, func(res StepResult) {
 		calls++
-		samples += len(res.Samples)
+		if _, ok := res.Sample(vm.ID()); ok {
+			samples++
+		}
+		if _, ok := res.Sample(vm.ID() + 1); ok {
+			t.Error("sample reported for an unknown VM")
+		}
 	})
 	if calls != 100 {
 		t.Errorf("onStep called %d times, want 100", calls)

@@ -260,7 +260,9 @@ type (
 	ServerConfig = vmm.Config
 	// VM is one virtual machine.
 	VM = vmm.VM
-	// ServerStep is one simulation step's completed PCM samples.
+	// ServerStep is one simulation step's completed PCM samples; its
+	// Sample(vm.ID()) method returns a VM's sample, if it completed one.
+	// It is valid only inside the step callback.
 	ServerStep = vmm.StepResult
 	// Sample is one PCM counter observation.
 	Sample = pcm.Sample

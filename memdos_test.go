@@ -44,7 +44,7 @@ func TestPublicQuickstartFlow(t *testing.T) {
 	}
 	var decisions []memdos.Decision
 	srv.RunUntil(300, func(step memdos.ServerStep) {
-		if s, ok := step.Samples[victim.ID()]; ok {
+		if s, ok := step.Sample(victim.ID()); ok {
 			decisions = append(decisions, det.Push(s)...)
 		}
 	})
